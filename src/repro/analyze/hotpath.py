@@ -39,8 +39,7 @@ Inside statement loops of hot functions the pass flags:
 * ``backend-bypass`` — the key rule: an element-wise loop over batch data
   (masks, rows, values, words …) whose body is pure compute — compares and
   arithmetic, no simulator interaction — outside :mod:`repro.compute`.
-  These loops belong behind the backend seam; the findings double as the
-  numba-backend worklist (the ROADMAP's "event-driven residue").
+  These loops belong behind the backend seam.
 
 **Part 2 — integer/float bounds** (:class:`HotBoundsPass`).  A small
 interval abstract interpreter over integer arithmetic, seeded from name
@@ -617,7 +616,7 @@ def _bypass_findings(record: FunctionRecord, loop) -> list[Finding]:
         "backend-bypass",
         f"element-wise loop over {name} in hot function {record.qualname} "
         "bypasses the repro.compute seam; route it through a ComputeBackend "
-        "kernel (this is the numba worklist)",
+        "kernel",
         record.module.path, loop.lineno, loop.col_offset)]
 
 

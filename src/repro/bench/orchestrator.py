@@ -203,7 +203,7 @@ def diff_reports(report_a: dict[str, Any],
 
 
 def compare_backends(configs: list[SweepConfig],
-                     backends: tuple[str, ...] = ("python", "numpy", "numba"),
+                     backends: tuple[str, ...] = ("python", "numpy"),
                      cache_dir: str | pathlib.Path = DEFAULT_CACHE_DIR,
                      exact: bool = False) -> dict[str, Any]:
     """Run ``configs`` under every backend and fold the timings together.
@@ -215,8 +215,8 @@ def compare_backends(configs: list[SweepConfig],
     the simulated payloads were bit-identical across all backends
     (``identical`` — the DESIGN.md §10 contract, measured end-to-end).
 
-    Backends that cannot be constructed in this process (e.g. ``numba``
-    where numba is not installed) are skipped, not failed: they are listed
+    Backends that cannot be constructed in this process (e.g. ``numpy``
+    where numpy does not import) are skipped, not failed: they are listed
     under ``skipped_backends`` with the reason, and the comparison runs
     over whatever remains.  Asking for zero available backends is the only
     error case.

@@ -109,16 +109,13 @@ class ComputeBackend:
         """
         raise NotImplementedError
 
-    # -- batched request pipeline (DESIGN.md §12) ----------------------------------
+    # -- stream-lane batches (DESIGN.md §12) --------------------------------------
     #
-    # The kernels below execute *runs* of same-phase requests in one call:
-    # the per-request controller loop (issue/hit-timing/counter-account) is
-    # the last event-driven residue outside the seam, and batching it is
-    # where paper-scale (4M-row) sweeps become routine.  Batch formation —
-    # deciding how long a run is safe — stays with the caller: runs never
-    # cross a row boundary, a refresh window, or a write-drain trigger, so
-    # every kernel computes pure row-hit algebra and the event-driven path
-    # handles each boundary exactly.
+    # The CPU stream lane serves its reads one line at a time and batches
+    # the rest: each same-row run of a write drain is one closed-form timing
+    # call, and the counter updates it buffers during a run are folded when
+    # the run ends.  A drain run never crosses a row, so its timing is pure
+    # row-hit algebra and the per-line path handles every boundary exactly.
 
     def batch_row_timing(self, n: int, arrival: int, col0: int, busfree0: int,
                          latency: int, burst: int, tccd: int,
@@ -152,15 +149,15 @@ class ComputeBackend:
         core advances ``now_p = max(now_{p-1}, de_p) + cps[p]``.  Lines
         whose issue reaches ``next_ref``, or whose posted-write volume
         (``outs`` accumulated into ``backlog0``, one post per ``line_bytes``)
-        would exceed ``post_budget`` posts, are *not* executed — the caller's
-        event-driven path services them.  ``outs=None`` means no write
-        traffic.  ``ft`` is a plain list in consumption order.  Returns
-        ``(done, issue, de, now, stall, posts, backlog, cas_last)`` where
-        ``issue``/``de``/``now`` are length-``done`` *sequences* of Python
-        ints — a list or an int64 ndarray, whichever is the backend's
-        natural form (short runs stay in lists to avoid conversion
-        round-trips); all values are bit-identical to the sequential
-        per-line flow.
+        would exceed ``post_budget`` posts, are *not* executed.
+        ``outs=None`` means no write traffic.  Returns ``(done, issue, de,
+        now, stall, posts, backlog, cas_last)`` with ``issue``/``de``/``now``
+        as length-``done`` lists, bit-identical to the per-line flow.
+
+        The stream lane no longer calls this: a run cannot cross a 128-line
+        row, and at that size a vectorised solve costs what the loop does
+        (DESIGN.md §12).  Both backends run the one sequential reference;
+        the kernel goes once ``perf/layers.py`` stops counting its calls.
         """
         raise NotImplementedError
 
@@ -168,7 +165,7 @@ class ComputeBackend:
                         ends: np.ndarray) -> None:
         """Fold ordered busy intervals into a pulled BusyTracker state.
 
-        ``s`` is the 12-slot list produced by the hot-loop ``pull``
+        ``s`` is the 12-slot list :mod:`repro.dram.counters` pulls
         ([cur_start, cur_end, busy_ps, intervals, last_end, first_start,
         gap-count, gap-total, gap-total_sq, gap-min, gap-max, gap-buckets]);
         the kernel mutates it in place, exactly as marking each

@@ -47,20 +47,34 @@ def mark_busy_reference(s: list, start: int, end: int) -> None:
     s[1] = end
 
 
+def latency_hist_reference(count: int, total: int, total_sq: int,
+                           vmin: int | None, vmax: int | None, buckets: dict,
+                           lats) -> tuple:
+    """Histogram.record over pulled scalars, one latency at a time (the
+    shared reference for ``batch_latency_hist``; ``lats`` is any iterable
+    of Python ints)."""
+    for lat in lats:
+        count += 1
+        total += lat
+        total_sq += lat * lat
+        if vmin is None or lat < vmin:
+            vmin = lat
+        if vmax is None or lat > vmax:
+            vmax = lat
+        b = 0 if lat < 1 else lat.bit_length()
+        buckets[b] = buckets.get(b, 0) + 1
+    return count, total, total_sq, vmin, vmax
+
+
 def batch_issue_reference(ft, floor0: int, now0: int, cps, outs,
                           backlog0: float, post_budget: int, line_bytes: int,
                           col0: int, busfree0: int, next_ref: int, cl: int,
                           burst: int, tccd: int):
     """Sequential-semantics stream-run solve (the shared reference).
 
-    The numpy backend falls back here when the posted-write volumes are not
-    exactly representable as integers, the run is too short to vectorise,
-    or its fixpoint solve does not converge, so the authoritative per-line
-    flow lives once, here.  The loop mirrors the CPU stream hot path op for
-    op (including the float backlog accumulation order).  Results come back
-    as plain lists (the sequence contract of :meth:`ComputeBackend
-    .batch_issue`): short runs dominate this path and list I/O keeps them
-    free of ndarray round-trips.
+    The loop is the CPU stream lane's per-line flow, op for op, including
+    the float backlog accumulation order.  Results come back as plain
+    lists.
     """
     ft_list = ft
     cps_list = cps.tolist()
@@ -86,9 +100,9 @@ def batch_issue_reference(ft, floor0: int, now0: int, cps, outs,
             out = 0.0
         if out:
             # Peek the line's posting outcome first: a post beyond the
-            # budget would trigger a drain mid-line, so the whole line is
-            # left to the event-driven path.  The float order matches the
-            # per-line loop exactly (add, then repeated subtraction).
+            # budget would trigger a drain mid-line, so the run stops
+            # before the line.  The float order matches the per-line loop
+            # exactly (add, then repeated subtraction).
             nb = backlog + out
             np_count = posts
             while nb >= line_bytes:
@@ -293,17 +307,8 @@ class PythonBackend(ComputeBackend):
 
     def batch_latency_hist(self, count, total, total_sq, vmin, vmax, buckets,
                            lats) -> tuple:
-        for lat in lats.tolist():
-            count += 1
-            total += lat
-            total_sq += lat * lat
-            if vmin is None or lat < vmin:
-                vmin = lat
-            if vmax is None or lat > vmax:
-                vmax = lat
-            b = 0 if lat < 1 else lat.bit_length()
-            buckets[b] = buckets.get(b, 0) + 1
-        return count, total, total_sq, vmin, vmax
+        return latency_hist_reference(count, total, total_sq, vmin, vmax,
+                                      buckets, lats.tolist())
 
     def apply_delta(self, base: tuple, delta: tuple,
                     periods: int) -> tuple | None:

@@ -38,13 +38,10 @@ from ..sim.clock import ClockDomain
 from ..sim.fastforward import (CONFIRM_PERIODS, FF as _FF, STATS as _FF_STATS,
                                EpochSkipper)
 
-# Minimum run length before the scan loop hands a burst to the backend's
-# ``batch_issue`` kernel.  Shorter runs (posted-write budget or row-boundary
-# capped, common at mid selectivity) stay on the inlined per-request lane
-# path, which beats per-batch slice/concat setup below this break-even.
-# Matches the numpy backend's own reference-delegation threshold, so every
-# batch that does form takes the vectorised fixpoint path.
-_BATCH_MIN = 48
+# Lane entries buffered before a mid-run counter fold (at the next row
+# crossing).  A lane run can cover a whole bank; the cap bounds the buffers
+# while keeping each fold far above the vectorisation break-even.
+_LANE_BUF = 1 << 14
 
 
 @dataclass
@@ -61,6 +58,21 @@ class PhaseStats:
     @property
     def duration_ps(self) -> int:
         return self.end_ps - self.start_ps
+
+
+def _per_line_vector(value, nlines: int, name: str) -> np.ndarray:
+    """``value`` as one float64 entry per line: a scalar broadcasts, a
+    vector must match ``nlines``; every entry finite and non-negative."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be numeric: {exc}") from None
+    if arr.ndim and arr.shape != (nlines,):
+        raise ConfigError(f"{name} needs one entry per line: shape "
+                          f"{arr.shape} for {nlines} line(s)")
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise ConfigError(f"{name} must be finite and non-negative")
+    return np.broadcast_to(arr, (nlines,))
 
 
 class Core:
@@ -139,10 +151,9 @@ class Core:
         if nbytes <= 0:
             raise ConfigError("stream phase needs a positive size")
         nlines = -(-nbytes // self.line_bytes)
-        per_line = np.broadcast_to(np.asarray(cycles_per_line, dtype=np.float64),
-                                   (nlines,))
-        out_per_line = np.broadcast_to(
-            np.asarray(write_bytes_per_line, dtype=np.float64), (nlines,))
+        per_line = _per_line_vector(cycles_per_line, nlines, "cycles_per_line")
+        out_per_line = _per_line_vector(write_bytes_per_line, nlines,
+                                        "write_bytes_per_line")
         if write_base is None:
             write_base = base_addr + nlines * self.line_bytes
         self._write_cursor = write_base
@@ -159,11 +170,9 @@ class Core:
         # Pre-convert per-line compute to picoseconds.  np.rint rounds half
         # to even exactly like round(), so cps[k] == cycles_to_ps(per_line[k])
         # bit for bit.  Per-line cycle counts stay below ~1e6 at a ~1e3 ps
-        # period, so the product is far inside int64.  The array forms feed
-        # the batch kernels; the list forms feed the per-line loop.
-        cps_a = np.rint(  # analyze: ignore[int-overflow] <=1e6 cycles * ~1e3 ps/cycle
-            per_line * self.clock.period_ps).astype(np.int64)
-        cps = cps_a.tolist()
+        # period, so the product is far inside int64.
+        cps = np.rint(  # analyze: ignore[int-overflow] <=1e6 cycles * ~1e3 ps/cycle
+            per_line * self.clock.period_ps).astype(np.int64).tolist()
         # The prefetcher keeps up to `depth` fetches in flight; a fetch for
         # line k is issued when the core finished consuming line k - depth
         # (or at phase start during ramp-up).  The deque is modelled as a
@@ -239,21 +248,6 @@ class Core:
                      and line_bytes == controller.mapping.burst_bytes
                      and base_addr % line_bytes == 0)
         has_writes = fuse_gate and any(out_per_line_f)
-        # Batch-formation inputs (DESIGN.md §12).  The posted-write schedule
-        # is deterministic — the running byte total divided by the line size
-        # — so the lane can predict where a drain will truncate a batch and
-        # skip unprofitable short ones.  Non-integral write volumes cannot
-        # be predicted exactly (the backlog order is float-authoritative),
-        # so such phases keep the per-line path (outs_a None disables
-        # batching when has_writes is set).
-        outs_a = None
-        posts_pc = None
-        if has_writes:
-            outs_i = np.asarray(out_per_line)
-            if bool(np.all(outs_i == np.floor(outs_i))):
-                outs_a = outs_i
-                posts_pc = (np.cumsum(outs_i.astype(np.int64))  # analyze: ignore[int-overflow] phase bytes << 2**63
-                            // line_bytes)
         fuse_retry = 0
         box = [0, 0, 0, 0.0, 0, 0]
 
@@ -300,9 +294,8 @@ class Core:
                 box[4] = lines_written
                 box[5] = ft_idx
                 new_k = self._stream_run_lane(k, nlines, base_addr, cps,
-                                              out_per_line_f, cps_a, outs_a,
-                                              posts_pc, finish_times, box,
-                                              has_writes)
+                                              out_per_line_f, finish_times,
+                                              box, has_writes)
                 if new_k > k:
                     if _TRACE.on:
                         # One synthesized span summarising the lane-served
@@ -370,27 +363,25 @@ class Core:
         return stats
 
     def _stream_run_lane(self, k: int, nlines: int, base_addr: int,
-                         cps: list, outs: list, cps_a: np.ndarray,
-                         outs_a: np.ndarray | None,
-                         posts_pc: np.ndarray | None, ft: list, box: list,
+                         cps: list, outs: list, ft: list, box: list,
                          has_writes: bool) -> int:
         """Execute a run of stream lines entirely in Python locals.
 
         The per-line flow (prefetch issue, DRAM service, counter account,
         compute, posted writes, batch drains) is replayed op for op with the
-        hot bank/channel/counter state held in local variables, so the
-        result is bit-identical to the per-line path at a fraction of its
-        interpreter overhead.  Runs of row-hit lines inside one open row are
-        further handed to the compute backend as one ``batch_issue`` call
-        (DESIGN.md §12); batches never span a row crossing, a refresh
-        deadline, or a write-drain trigger, so the per-line flow below
-        services every boundary exactly.  Row hits outside a batch use the
-        inlined Bank.access hit algebra; row misses (the input/output row
-        ping-pong around drains, row crossings) and refresh-deadline lines
-        are replayed through the exact :meth:`Rank.access` path with the
-        locals synced down and back up around the call (the rank settles
-        the refresh inside the replay; the deadline is then reloaded).  A
-        run covers at most the current bank and exits early — writing all
+        hot bank/channel state held in local variables, so the result is
+        bit-identical to the per-line path at a fraction of its interpreter
+        overhead (DESIGN.md §12).  Row hits run the inlined Bank.access hit
+        algebra; row misses (the input/output row ping-pong around drains,
+        row crossings) and refresh-deadline lines are replayed through the
+        exact :meth:`Rank.access` path with the locals synced down and back
+        up around the call (the rank settles the refresh inside the replay;
+        the deadline is then reloaded).  A drain's same-row runs are served
+        closed-form by the backend's ``batch_row_timing``.  Every request's
+        (arrival, data end) is buffered in stream order, and the IMC
+        counters fold the buffers in one
+        :meth:`~repro.dram.counters.IMCCounters.record_lane` call per run.
+        A run covers at most the current bank and exits early — writing all
         state back — when a write drain cannot be validated; the caller's
         per-line loop handles the boundary exactly.
 
@@ -523,272 +514,41 @@ class Core:
         r_next_col = r_bank.next_col_ps
         r_dfree = r_bank._data_free_ps
         r_next_pre = r_bank.next_pre_ps
-        r_hits = r_bank.row_hits
         r_io = r_rank.io_free_ps
         if w_mode == 2:
             w_next_act = w_bank.next_act_ps
             w_next_col = w_bank.next_col_ps
             w_dfree = w_bank._data_free_ps
             w_next_pre = w_bank.next_pre_ps
-            w_hits = w_bank.row_hits
             w_io = w_rank.io_free_ps
         else:
-            w_next_act = w_next_col = w_dfree = w_next_pre = w_hits = w_io = 0
+            w_next_act = w_next_col = w_dfree = w_next_pre = w_io = 0
 
         cnt = controller.counters
-        reads_v = cnt.reads.value
-        writes_v = cnt.writes.value
-        rowh_v = cnt.row_hits.value
-        rowm_v = cnt.row_misses.value
-        rl = cnt.read_latency
-        rl_count = rl.count
-        rl_total = rl.total
-        rl_tsq = rl.total_sq
-        rl_min = rl.min
-        rl_max = rl.max
-        rl_buckets = rl.buckets
-
-        # Busy trackers, inlined: [cur_start, cur_end, busy_ps, intervals,
-        # last_end, first_start, gap-histogram scalars..., gap buckets].
-        def pull(tracker):
-            g = tracker._gaps
-            return [tracker._cur_start, tracker._cur_end, tracker.busy_ps,
-                    tracker.intervals, tracker._last_end,
-                    tracker._first_start, g.count, g.total, g.total_sq,
-                    g.min, g.max, g.buckets]
-
-        def push(tracker, s) -> None:
-            (tracker._cur_start, tracker._cur_end, tracker.busy_ps,
-             tracker.intervals, tracker._last_end, tracker._first_start,
-             g_count, g_total, g_tsq, g_min, g_max, _) = s
-            g = tracker._gaps
-            g.count = g_count
-            g.total = g_total
-            g.total_sq = g_tsq
-            g.min = g_min
-            g.max = g_max
-
-        rq = pull(cnt.read_queue)
-        wq = pull(cnt.write_queue)
-        cb = pull(cnt.combined)
-
-        def mark(s, start, end) -> None:
-            # BusyTracker.mark_busy on the pulled list (end > start always
-            # holds here: end = cas + latency + burst).
-            cur_end = s[1]
-            if s[0] is None:
-                s[0] = start
-                s[1] = end
-                if s[5] is None:
-                    s[5] = start
-                return
-            if start <= cur_end:
-                if end > cur_end:
-                    s[1] = end
-                return
-            s[2] += cur_end - s[0]
-            s[3] += 1
-            s[4] = cur_end
-            gap = start - (cur_end or 0)
-            s[6] += 1
-            s[7] += gap
-            s[8] += gap * gap
-            if s[9] is None:
-                s[9] = gap
-            elif gap < s[9]:
-                s[9] = gap
-            if s[10] is None:
-                s[10] = gap
-            elif gap > s[10]:
-                s[10] = gap
-            b = 0 if gap < 1 else gap.bit_length()
-            buckets = s[11]
-            buckets[b] = buckets.get(b, 0) + 1
-            s[0] = start
-            s[1] = end
-
-        lane_count = 0
-        batched = 0
-        backend = get_backend()
-        batch_issue = backend.batch_issue
-        batch_hist = backend.batch_latency_hist
-        batch_mark = backend.batch_mark_busy
-        searchsorted = np.searchsorted
-        can_batch = outs_a is not None or not has_writes
+        # Counter traffic, buffered for one fold on return: each entry is a
+        # request's (arrival, data end) in stream order; write_at indexes the
+        # drain entries.  Requests replayed through Rank.access count their
+        # own hit or miss (a refresh that ended before the arrival leaves
+        # the row open); the rest are hits, counted at the end.
+        starts: list[int] = []
+        ends: list[int] = []
+        write_at: list[int] = []
+        put_s = starts.append
+        put_e = ends.append
+        slow_reads = slow_writes = hits = misses = batched = reopened = 0
+        row_timing = get_backend().batch_row_timing
         depth = len(ft)
         j = k
         bail_posts = 0
-        batch_retry = 0
         while j < limit:
             if row_countdown == 0:
                 r_row += 1
                 row_countdown = lpr
-            if can_batch and open_row_l == r_row and j >= batch_retry:
-                # Batched pipeline (DESIGN.md §12): hand the rest of the
-                # open row to the backend as one batch_issue call.  The
-                # kernel truncates at the refresh deadline and before any
-                # line whose posted writes would trigger a drain, so every
-                # boundary is replayed by the per-line flow below.  Batches
-                # shorter than the vectorisation break-even (the write-drain
-                # cadence under high selectivity) stay on the per-line path.
-                m_max = limit - j
-                if row_countdown < m_max:
-                    m_max = row_countdown
-                if outs_a is not None and m_max >= _BATCH_MIN:
-                    # lines_written counts this phase's posts so far, so the
-                    # drain truncation point is where the phase-cumulative
-                    # post count first exceeds the remaining queue budget.
-                    m_max = int(searchsorted(
-                        posts_pc[j:j + m_max],
-                        lines_written + batch - 1 - len(pending),
-                        side="right"))
-                if m_max >= _BATCH_MIN:
-                    (done, issue_a, de_a, now_a, stall_inc, n_posts,
-                     backlog_out, cas_last) = batch_issue(
-                        ft[idx:] + ft[:idx], floor, now, cps_a[j:j + m_max],
-                        outs_a[j:j + m_max] if outs_a is not None else None,
-                        backlog, batch - 1 - len(pending), line_bytes,
-                        r_next_col, bus if bus > r_dfree else r_dfree,
-                        r_next_ref, CL, BURST, TCCD)
-                    if done:
-                        if r_act_floor > r_next_act:
-                            r_next_act = r_act_floor
-                        de_last = int(de_a[-1])
-                        r_dfree = de_last
-                        cas_last = int(cas_last)
-                        r_next_col = cas_last + TCCD
-                        npre = cas_last + TRTP
-                        if npre > r_next_pre:
-                            r_next_pre = npre
-                        bus = de_last
-                        r_io = de_last
-                        r_hits += done
-                        rowh_v += done
-                        reads_v += done
-                        lane_count += done
-                        batched += done
-                        floor = int(issue_a[-1])
-                        stall += int(stall_inc)
-                        now = int(now_a[-1])
-                        # Counter folds, in stream order.  Starts are
-                        # non-decreasing (the issue floor ratchets) and every
-                        # data end strictly exceeds all previously marked
-                        # ends (each cas >= busfree - CL, so de >= busfree +
-                        # BURST), so consecutive overlapping intervals merge
-                        # into runs: marking one merged run is bit-identical
-                        # to marking each line — interior marks only extend
-                        # cur_end, and at a run break the tracker's cur_end
-                        # equals the previous line's de.
-                        if type(issue_a) is list:
-                            # Short run: scalar folds beat the ndarray
-                            # round-trip.  Latencies are folded run-length
-                            # encoded (steady-state batches repeat one
-                            # latency).
-                            run_s = run_e = None
-                            rle_lat = None
-                            rle_n = 0
-                            for b_i, b_d in zip(issue_a, de_a):
-                                lat = b_d - b_i
-                                if lat == rle_lat:
-                                    rle_n += 1
-                                else:
-                                    if rle_n:
-                                        rl_count += rle_n
-                                        rl_total += rle_lat * rle_n
-                                        rl_tsq += rle_lat * rle_lat * rle_n
-                                        if rl_min is None or rle_lat < rl_min:
-                                            rl_min = rle_lat
-                                        if rl_max is None or rle_lat > rl_max:
-                                            rl_max = rle_lat
-                                        b = (0 if rle_lat < 1
-                                             else rle_lat.bit_length())
-                                        rl_buckets[b] = (
-                                            rl_buckets.get(b, 0) + rle_n)
-                                    rle_lat = lat
-                                    rle_n = 1
-                                if run_s is None:
-                                    run_s = b_i
-                                    run_e = b_d
-                                elif b_i <= run_e:
-                                    if b_d > run_e:
-                                        run_e = b_d
-                                else:
-                                    mark(rq, run_s, run_e)
-                                    mark(cb, run_s, run_e)
-                                    run_s = b_i
-                                    run_e = b_d
-                            if rle_n:
-                                rl_count += rle_n
-                                rl_total += rle_lat * rle_n
-                                rl_tsq += rle_lat * rle_lat * rle_n
-                                if rl_min is None or rle_lat < rl_min:
-                                    rl_min = rle_lat
-                                if rl_max is None or rle_lat > rl_max:
-                                    rl_max = rle_lat
-                                b = 0 if rle_lat < 1 else rle_lat.bit_length()
-                                rl_buckets[b] = rl_buckets.get(b, 0) + rle_n
-                            mark(rq, run_s, run_e)
-                            mark(cb, run_s, run_e)
-                            now_t = now_a
-                        else:
-                            # Starts ratchet and ends are non-decreasing, so
-                            # the backend's vectorised tracker fold applies
-                            # directly — it merges overlap runs and folds the
-                            # idle-gap histogram without a per-run Python
-                            # loop (the dominant cost when the stream has a
-                            # gap between every line).
-                            batch_mark(rq, issue_a, de_a)
-                            batch_mark(cb, issue_a, de_a)
-                            lats = de_a - issue_a
-                            l0 = int(lats[0])
-                            if bool((lats == l0).all()):
-                                rl_count += done
-                                rl_total += l0 * done
-                                rl_tsq += l0 * l0 * done
-                                if rl_min is None or l0 < rl_min:
-                                    rl_min = l0
-                                if rl_max is None or l0 > rl_max:
-                                    rl_max = l0
-                                b = 0 if l0 < 1 else l0.bit_length()
-                                rl_buckets[b] = rl_buckets.get(b, 0) + done
-                            else:
-                                (rl_count, rl_total, rl_tsq, rl_min,
-                                 rl_max) = batch_hist(
-                                    rl_count, rl_total, rl_tsq, rl_min,
-                                    rl_max, rl_buckets, lats)
-                            now_t = None
-                        # The last min(done, depth) finish times land in the
-                        # ring exactly where the per-line walk would leave
-                        # them (earlier slots were overwritten).
-                        start_p = done - depth
-                        if start_p < 0:
-                            start_p = 0
-                        if now_t is None:
-                            now_t = now_a[start_p:].tolist()
-                        else:
-                            now_t = now_t[start_p:]
-                        for off, val in enumerate(now_t):
-                            ft[(idx + start_p + off) % depth] = val
-                        idx = (idx + done) % depth
-                        backlog = backlog_out
-                        if n_posts:
-                            w_end = w_cursor + n_posts * line_bytes
-                            pending.extend(range(w_cursor, w_end, line_bytes))
-                            w_cursor = w_end
-                            lines_written += n_posts
-                        j += done
-                        row_countdown -= done
-                    if done < m_max:
-                        # Truncated (refresh / post budget): let the
-                        # per-line flow handle the boundary before retrying.
-                        batch_retry = j + 1
-                    if done:
-                        continue
-                else:
-                    # Too short to vectorise; nothing changes until the
-                    # predicted truncation point (a drain resets the queue
-                    # budget there) or the next row, so skip ahead.
-                    batch_retry = j + m_max + 1
+                if len(starts) >= _LANE_BUF:
+                    cnt.record_lane(starts, ends, write_at)
+                    starts.clear()
+                    ends.clear()
+                    write_at.clear()
             issue = ft[idx]
             if floor > issue:
                 issue = floor
@@ -810,22 +570,18 @@ class Core:
                     r_next_pre = npre
                 bus = de
                 r_io = de
-                r_hits += 1
-                rowh_v += 1
-                lane_count += 1
             else:
                 # Row miss or refresh deadline: sync the locals down and
                 # replay through the exact rank path (refresh settle, PRE/
-                # ACT floors, ACT-ring bookkeeping).  A refresh precharges
-                # every bank on the rank, so this access is a miss either
-                # way and the deadline line replays identically to the
-                # event-driven path.
+                # ACT floors, ACT-ring bookkeeping), so the deadline line
+                # replays identically to the event-driven path.  The replay
+                # reports its own hit or miss: a refresh that ended before
+                # the arrival leaves the row open.
                 refreshing = issue >= r_next_ref
                 r_bank.next_act_ps = r_next_act
                 r_bank.next_col_ps = r_next_col
                 r_bank._data_free_ps = r_dfree
                 r_bank.next_pre_ps = r_next_pre
-                r_bank.row_hits = r_hits
                 r_rank.io_free_ps = r_io
                 if refreshing and shared_rank and w_mode == 2:
                     # The settle blocks every bank on the rank; hand the
@@ -835,8 +591,9 @@ class Core:
                     w_bank.next_col_ps = w_next_col
                     w_bank._data_free_ps = w_dfree
                     w_bank.next_pre_ps = w_next_pre
-                de = r_rank.access(r_bank_index, r_row, issue, False,
-                                   bus_free_ps=bus).data_end_ps
+                timing = r_rank.access(r_bank_index, r_row, issue, False,
+                                       bus_free_ps=bus)
+                de = timing.data_end_ps
                 bus = de
                 r_io = r_rank.io_free_ps
                 open_row_l = r_row
@@ -847,7 +604,11 @@ class Core:
                 r_act_floor = act_floor(acts_r)
                 if shared_rank:
                     w_act_floor = r_act_floor
-                rowm_v += 1
+                slow_reads += 1
+                if timing.row_hit:
+                    hits += 1
+                else:
+                    misses += 1
                 if refreshing:
                     r_next_ref = (r_refresh.next_refresh_ps
                                   if r_refresh.enabled else BIG)
@@ -858,26 +619,14 @@ class Core:
                             w_next_col = w_bank.next_col_ps
                             w_dfree = w_bank._data_free_ps
                             w_next_pre = w_bank.next_pre_ps
-                            # The refresh closed the write row; the next
-                            # drain must reopen it through the exact path.
+                            # The refresh may have closed the write row;
+                            # the next drain goes through the exact path.
                             w_open = False
                     else:
                         w_next_ref = r_next_ref
             floor = issue
-            # IMCCounters.record(False, issue, de, hit, miss).
-            reads_v += 1
-            mark(rq, issue, de)
-            lat = de - issue
-            rl_count += 1
-            rl_total += lat
-            rl_tsq += lat * lat
-            if rl_min is None or lat < rl_min:
-                rl_min = lat
-            if rl_max is None or lat > rl_max:
-                rl_max = lat
-            b = 0 if lat < 1 else lat.bit_length()
-            rl_buckets[b] = rl_buckets.get(b, 0) + 1
-            mark(cb, issue, de)
+            put_s(issue)
+            put_e(de)
             # Stall + compute + prefetch window.
             if de > now:
                 stall += de - now
@@ -920,144 +669,135 @@ class Core:
                 pending.append(w_cursor)
                 w_cursor += line_bytes
                 lines_written += 1
-                if len(pending) >= batch:
-                    # _drain_writes: every pending write at arrival wi.
-                    wi = floor if floor > now else now
-                    if w_mode == 1:
-                        # Drain bursts arrive together at wi and the queue
-                        # is line-sequential, so each same-row run collapses
-                        # to one batch_row_timing call: per-burst state
-                        # (next_col, data_free, next_pre) is affine in the
-                        # burst index and the mark sequence (wi, de_0) ..
-                        # (wi, de_last) is one mark(wi, de_last) — wi never
-                        # exceeds the running end, so only the final end
-                        # survives, identically to marking each burst.  Row
-                        # crossings (the input/output ping-pong) replay one
-                        # burst through the exact rank path first.
-                        n_pend = len(pending)
-                        pos = 0
-                        while pos < n_pend:
-                            w_addr = pending[pos]
-                            w_row = (w_addr - bank_start) // row_bytes
-                            run = (bank_start + (w_row + 1) * row_bytes
-                                   - w_addr) // line_bytes
-                            if run > n_pend - pos:
-                                run = n_pend - pos
-                            if open_row_l != w_row:
-                                r_bank.next_act_ps = r_next_act
-                                r_bank.next_col_ps = r_next_col
-                                r_bank._data_free_ps = r_dfree
-                                r_bank.next_pre_ps = r_next_pre
-                                r_bank.row_hits = r_hits
-                                r_rank.io_free_ps = r_io
-                                de = r_rank.access(
-                                    r_bank_index, w_row, wi, True,
-                                    bus_free_ps=bus).data_end_ps
-                                bus = de
-                                r_io = r_rank.io_free_ps
-                                open_row_l = w_row
-                                r_next_act = r_bank.next_act_ps
-                                r_next_col = r_bank.next_col_ps
-                                r_dfree = r_bank._data_free_ps
-                                r_next_pre = r_bank.next_pre_ps
-                                r_act_floor = act_floor(acts_r)
-                                rowm_v += 1
-                                writes_v += 1
-                                mark(wq, wi, de)
-                                mark(cb, wi, de)
-                                pos += 1
-                                run -= 1
-                                if not run:
-                                    continue
-                            if r_act_floor > r_next_act:
-                                r_next_act = r_act_floor
-                            _, cas_l, de = backend.batch_row_timing(
-                                run, wi, r_next_col,
-                                bus if bus > r_dfree else r_dfree,
-                                CWL, BURST, TCCD)
-                            r_dfree = de
-                            r_next_col = cas_l + TCCD
-                            npre = de + TWR
-                            if npre > r_next_pre:
-                                r_next_pre = npre
-                            bus = de
-                            r_io = de
-                            r_hits += run
-                            rowh_v += run
-                            lane_count += run
-                            batched += run
-                            writes_v += run
-                            mark(wq, wi, de)
-                            mark(cb, wi, de)
-                            pos += run
-                    else:
-                        # Whole drain in one batch_row_timing call: every
-                        # burst is a hit on the confirmed write row with the
-                        # common arrival wi, so only the endpoints matter.
-                        # The mark sequence (wi, de_0) .. (wi, de_last)
-                        # collapses to one mark(wi, de_last): each later
-                        # start wi is <= the current end, so only the final
-                        # end survives and gap accounting sees the first
-                        # interval alone — identical either way.
-                        count = len(pending)
-                        if not w_open:
-                            # A refresh closed the write row since the last
-                            # drain: reopen it through the exact rank path
-                            # (PRE/ACT floors, ACT ring), then serve the
-                            # remaining bursts closed-form as row hits.
-                            w_bank.next_act_ps = w_next_act
-                            w_bank.next_col_ps = w_next_col
-                            w_bank._data_free_ps = w_dfree
-                            w_bank.next_pre_ps = w_next_pre
-                            w_bank.row_hits = w_hits
-                            w_rank.io_free_ps = w_io
-                            de_l = w_rank.access(
-                                w_bank.index, w_row_tpl, wi, True,
+                if len(pending) < batch:
+                    continue
+                # _drain_writes: every pending write at arrival wi.  The
+                # bursts arrive together, so a same-row run's marks (wi,
+                # de_0) .. (wi, de_last) collapse to one (wi, de_last) entry:
+                # after the first burst wi never exceeds the running end, so
+                # only the final end survives, as when marking each burst.
+                wi = floor if floor > now else now
+                if w_mode == 1:
+                    # The queue is line-sequential, so each same-row run is
+                    # one batch_row_timing call: per-burst state (next_col,
+                    # data_free, next_pre) is affine in the burst index.
+                    # Row crossings (the input/output ping-pong) replay one
+                    # burst through the exact rank path first.
+                    n_pend = len(pending)
+                    pos = 0
+                    while pos < n_pend:
+                        w_addr = pending[pos]
+                        w_row = (w_addr - bank_start) // row_bytes
+                        run = (bank_start + (w_row + 1) * row_bytes
+                               - w_addr) // line_bytes
+                        if run > n_pend - pos:
+                            run = n_pend - pos
+                        if open_row_l != w_row:
+                            r_bank.next_act_ps = r_next_act
+                            r_bank.next_col_ps = r_next_col
+                            r_bank._data_free_ps = r_dfree
+                            r_bank.next_pre_ps = r_next_pre
+                            r_rank.io_free_ps = r_io
+                            de = r_rank.access(
+                                r_bank_index, w_row, wi, True,
                                 bus_free_ps=bus).data_end_ps
-                            bus = de_l
-                            w_io = w_rank.io_free_ps
-                            w_next_act = w_bank.next_act_ps
-                            w_next_col = w_bank.next_col_ps
-                            w_dfree = w_bank._data_free_ps
-                            w_next_pre = w_bank.next_pre_ps
-                            w_hits = w_bank.row_hits
-                            w_act_floor = act_floor(acts_w)
-                            if shared_rank:
-                                r_act_floor = w_act_floor
-                            rowm_v += 1
-                            writes_v += 1
-                            lane_count += 1
-                            mark(wq, wi, de_l)
-                            mark(cb, wi, de_l)
-                            w_open = True
-                            count -= 1
-                        if count:
-                            if w_act_floor > w_next_act:
-                                w_next_act = w_act_floor
-                            _, cas_l, de_l = backend.batch_row_timing(
-                                count, wi, w_next_col,
-                                bus if bus > w_dfree else w_dfree,
-                                CWL, BURST, TCCD)
-                            w_dfree = de_l
-                            w_next_col = cas_l + TCCD
-                            npre = de_l + TWR
-                            if npre > w_next_pre:
-                                w_next_pre = npre
-                            bus = de_l
-                            w_io = de_l
-                            w_hits += count
-                            lane_count += count
-                            batched += count
-                            writes_v += count
-                            rowh_v += count
-                            mark(wq, wi, de_l)
-                            mark(cb, wi, de_l)
-                    pending.clear()
-                    floor = wi
+                            bus = de
+                            r_io = r_rank.io_free_ps
+                            open_row_l = w_row
+                            r_next_act = r_bank.next_act_ps
+                            r_next_col = r_bank.next_col_ps
+                            r_dfree = r_bank._data_free_ps
+                            r_next_pre = r_bank.next_pre_ps
+                            r_act_floor = act_floor(acts_r)
+                            misses += 1
+                            slow_writes += 1
+                            write_at.append(len(starts))
+                            put_s(wi)
+                            put_e(de)
+                            pos += 1
+                            run -= 1
+                            if not run:
+                                continue
+                        if r_act_floor > r_next_act:
+                            r_next_act = r_act_floor
+                        _, cas_l, de = row_timing(
+                            run, wi, r_next_col,
+                            bus if bus > r_dfree else r_dfree,
+                            CWL, BURST, TCCD)
+                        r_dfree = de
+                        r_next_col = cas_l + TCCD
+                        npre = de + TWR
+                        if npre > r_next_pre:
+                            r_next_pre = npre
+                        bus = de
+                        r_io = de
+                        batched += run
+                        write_at.append(len(starts))
+                        put_s(wi)
+                        put_e(de)
+                        pos += run
+                else:
+                    # Whole drain in one batch_row_timing call: every burst
+                    # is a hit on the confirmed write row.
+                    count = len(pending)
+                    if not w_open:
+                        # A refresh may have closed the write row since the
+                        # last drain: serve the first burst through the
+                        # exact rank path (PRE/ACT floors, ACT ring), then
+                        # the remaining bursts closed-form as row hits.
+                        w_bank.next_act_ps = w_next_act
+                        w_bank.next_col_ps = w_next_col
+                        w_bank._data_free_ps = w_dfree
+                        w_bank.next_pre_ps = w_next_pre
+                        w_rank.io_free_ps = w_io
+                        timing = w_rank.access(w_bank.index, w_row_tpl, wi,
+                                               True, bus_free_ps=bus)
+                        de_l = timing.data_end_ps
+                        bus = de_l
+                        w_io = w_rank.io_free_ps
+                        w_next_act = w_bank.next_act_ps
+                        w_next_col = w_bank.next_col_ps
+                        w_dfree = w_bank._data_free_ps
+                        w_next_pre = w_bank.next_pre_ps
+                        w_act_floor = act_floor(acts_w)
+                        if shared_rank:
+                            r_act_floor = w_act_floor
+                        if timing.row_hit:
+                            hits += 1
+                        else:
+                            misses += 1
+                        slow_writes += 1
+                        reopened += 1
+                        write_at.append(len(starts))
+                        put_s(wi)
+                        put_e(de_l)
+                        w_open = True
+                        count -= 1
+                    if count:
+                        if w_act_floor > w_next_act:
+                            w_next_act = w_act_floor
+                        _, cas_l, de_l = row_timing(
+                            count, wi, w_next_col,
+                            bus if bus > w_dfree else w_dfree,
+                            CWL, BURST, TCCD)
+                        w_dfree = de_l
+                        w_next_col = cas_l + TCCD
+                        npre = de_l + TWR
+                        if npre > w_next_pre:
+                            w_next_pre = npre
+                        bus = de_l
+                        w_io = de_l
+                        batched += count
+                        write_at.append(len(starts))
+                        put_s(wi)
+                        put_e(de_l)
+                pending.clear()
+                floor = wi
             if bail_posts:
                 break
 
-        # Write everything back.
+        # Write everything back, then fold the counters before anything
+        # (the bail path's slow-path drain included) reads them.
         box[0] = now
         box[1] = floor
         box[2] = stall
@@ -1065,20 +805,21 @@ class Core:
         box[4] = lines_written
         box[5] = idx
         self._write_cursor = w_cursor
-        if j > k:
-            controller._last_arrival_ps = floor
+        controller._last_arrival_ps = floor
         channel.bus_free_ps = bus
+        # Hits served inline: Rank.access counted the replayed requests.
+        lane_reads = j - k - slow_reads
         r_bank.next_act_ps = r_next_act
         r_bank.next_col_ps = r_next_col
         r_bank._data_free_ps = r_dfree
         r_bank.next_pre_ps = r_next_pre
-        r_bank.row_hits = r_hits
+        r_bank.row_hits += lane_reads
         if w_mode == 2:
             w_bank.next_act_ps = w_next_act
             w_bank.next_col_ps = w_next_col
             w_bank._data_free_ps = w_dfree
             w_bank.next_pre_ps = w_next_pre
-            w_bank.row_hits = w_hits
+            w_bank.row_hits += batched
             if shared_rank:
                 # One rank, two access kinds: io_free is the data end of
                 # whichever access ran last, i.e. the larger of the two.
@@ -1087,20 +828,11 @@ class Core:
                 r_rank.io_free_ps = r_io
                 w_rank.io_free_ps = w_io
         else:
+            r_bank.row_hits += batched
             r_rank.io_free_ps = r_io
-        cnt.reads.value = reads_v
-        cnt.writes.value = writes_v
-        cnt.row_hits.value = rowh_v
-        cnt.row_misses.value = rowm_v
-        rl.count = rl_count
-        rl.total = rl_total
-        rl.total_sq = rl_tsq
-        rl.min = rl_min
-        rl.max = rl_max
-        push(cnt.read_queue, rq)
-        push(cnt.write_queue, wq)
-        push(cnt.combined, cb)
-        _FF_STATS.lane_requests += lane_count
+        cnt.record_lane(starts, ends, write_at, slow_writes + batched,
+                        lane_reads + batched + hits, misses)
+        _FF_STATS.lane_requests += lane_reads + batched + reopened
         _FF_STATS.batched_requests += batched
         if bail_posts:
             # Finish the interrupted line's posting via the slow path with

@@ -128,7 +128,7 @@ class FFStats:
         self.skipped_periods = 0   # whole periods jumped over
         self.skips = 0             # O(1) jumps performed
         self.lane_requests = 0     # requests served by the controller lane
-        self.batched_requests = 0  # lane requests served via batch kernels
+        self.batched_requests = 0  # lane drain writes via batch_row_timing
         self.refused = 0           # confirmed periods not skipped (bounds)
 
     def snapshot(self) -> dict:

@@ -129,19 +129,12 @@ class TestCompareBackendsDegradation:
     def test_unavailable_backend_skipped_with_note(self, tmp_path):
         report = compare_backends(
             [SweepConfig("fig3_point", rows=512)],
-            backends=("python", "numba"),
+            backends=("python", "cuda"),
             cache_dir=tmp_path / "cache")
         compare = report["backend_compare"]
-        from repro.compute import available_backends
-
-        if "numba" in available_backends():
-            assert compare["backends"] == ["python", "numba"]
-            assert compare["skipped_backends"] == []
-        else:
-            assert compare["backends"] == ["python"]
-            assert compare["skipped_backends"] == [
-                {"backend": "numba",
-                 "reason": "unavailable in this environment"}]
+        assert compare["backends"] == ["python"]
+        assert compare["skipped_backends"] == [
+            {"backend": "cuda", "reason": "unavailable in this environment"}]
         assert compare["identical"]
 
     def test_all_backends_unavailable_is_an_error(self, tmp_path):
@@ -150,11 +143,14 @@ class TestCompareBackendsDegradation:
                              backends=("cuda",),
                              cache_dir=tmp_path / "cache")
 
-    def test_cli_exits_zero_with_skipped_backend(self, tmp_path, capsys):
-        from repro.compute import available_backends
+    def test_cli_exits_zero_with_skipped_backend(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # Both shipped backends import wherever the suite runs, so hide
+        # numpy from the registry to drive the CLI's skip note.
+        import repro.compute
 
-        if "numba" in available_backends():
-            pytest.skip("numba present: nothing to skip in this environment")
+        monkeypatch.setattr(repro.compute, "available_backends",
+                            lambda: ("python",))
         code = bench_main(["--smoke", "--compare-backends",
                            "--cache-dir", str(tmp_path / "c"),
                            "--output", str(tmp_path / "out.json")])

@@ -1,11 +1,9 @@
-"""Differential tests for the batched-pipeline kernels (DESIGN.md §12).
+"""Differential tests for the stream-lane batch kernels (DESIGN.md §12).
 
-``batch_issue``, ``batch_row_timing``, ``batch_mark_busy`` and
-``batch_latency_hist`` are exercised on seeded random inputs under every
-*available* backend and must agree with the python reference exactly.
-Parametrisation runs over all registered backend names — the ``numba`` leg
-skips cleanly wherever numba is not installed, and runs for real wherever
-it is, so one test file covers both environments.
+``batch_issue``, ``batch_row_timing``, ``batch_mark_busy``,
+``batch_latency_hist`` and ``fused_hit_run`` are exercised on seeded
+random inputs under every non-reference backend and must agree with the
+python reference exactly.
 """
 
 import numpy as np
@@ -177,6 +175,14 @@ class TestBatchFoldKernels:
             got = other.batch_latency_hist(0, 0, 0, None, None, b_got, lats)
             assert ref == got
             assert b_ref == b_got
+
+    def test_empty_input_is_a_no_op(self, other):
+        empty = np.empty(0, dtype=np.int64)
+        s = _fresh_tracker_state()
+        other.batch_mark_busy(s, empty, empty)
+        assert s == _fresh_tracker_state()
+        assert (other.batch_latency_hist(0, 0, 0, None, None, {}, empty)
+                == (0, 0, 0, None, None))
 
 
 class TestFusedHitRunAllBackends:

@@ -1,5 +1,7 @@
 """Tests for the CPU core timing model."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.config import GEM5_PLATFORM
 from repro.cpu import Core
 from repro.dram import DRAMGeometry, MemoryController, speed_grade
 from repro.errors import ConfigError
+from repro.sim.fastforward import exact_mode
 
 GEO = DRAMGeometry(channels=1, dimms_per_channel=1, ranks_per_dimm=1,
                    banks_per_rank=8, row_bytes=8192, rows_per_bank=256)
@@ -123,3 +126,38 @@ def test_invalid_arguments():
         core.advance_cycles(-1)
     with pytest.raises(ConfigError):
         core.advance_ps(-1)
+
+
+def _core_state(core):
+    mc = core.controller
+    return (core.now_ps, core._write_cursor, list(core._pending_writes),
+            mc._last_arrival_ps, mc.counters.metrics.snapshot())
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["ff", "exact"])
+@pytest.mark.parametrize("kwargs", [
+    dict(cycles_per_line=float("nan")),
+    dict(cycles_per_line=float("inf")),
+    dict(cycles_per_line=-1.0),
+    dict(cycles_per_line=np.array([1.0, -0.5, 1.0, 1.0])),
+    dict(cycles_per_line=np.array([1.0, np.nan, 1.0, 1.0])),
+    dict(cycles_per_line=np.ones(3)),
+    dict(cycles_per_line=np.ones((4, 1))),
+    dict(cycles_per_line="fast"),
+    dict(cycles_per_line=1.0, write_bytes_per_line=-8.0),
+    dict(cycles_per_line=1.0, write_bytes_per_line=float("inf")),
+    dict(cycles_per_line=1.0, write_bytes_per_line=np.full(4, np.nan)),
+    dict(cycles_per_line=1.0, write_bytes_per_line=np.ones(5)),
+], ids=["nan", "inf", "negative", "negative-entry", "nan-entry",
+        "short-vector", "2d-vector", "non-numeric", "negative-writes",
+        "inf-writes", "nan-writes", "long-write-vector"])
+def test_stream_phase_rejects_bad_inputs_before_any_state_moves(kwargs,
+                                                                exact):
+    core = make_core()
+    core.stream_read_phase(0, 8 * 64, cycles_per_line=2.0,
+                           write_bytes_per_line=16.0)
+    before = _core_state(core)
+    mode = exact_mode() if exact else contextlib.nullcontext()
+    with mode, pytest.raises(ConfigError):
+        core.stream_read_phase(4096, 4 * 64, **kwargs)
+    assert _core_state(core) == before

@@ -93,8 +93,11 @@ class TestPaperScale:
         point = report["points"][0]
         result = point["result"]
         # At this scale the column spans geometry the device-side epoch
-        # skipper refuses, so the batched lane pipeline is what makes the
-        # point routine: it must have served the bulk of the traffic.
+        # skipper refuses, so the CPU stream lane is what makes the point
+        # routine: it must have served the bulk of the traffic (the column
+        # alone is 524288 lines), and its write drains must have gone
+        # through the batch_row_timing kernel (219630 bursts at s=0.5).
+        assert _ffm.STATS.lane_requests > 500_000
         assert _ffm.STATS.batched_requests > 100_000
         assert result["matches"] == pytest.approx(4194304 * 0.5, rel=0.01)
         assert result["jafar_ps"] > 0 and result["cpu_ps"] > 0
